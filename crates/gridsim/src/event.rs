@@ -277,6 +277,8 @@ impl EventQueue {
                 return Some(event);
             }
             if self.len == 0 {
+                // Run dry: release the last drained bucket's allocation.
+                self.active = BinaryHeap::new();
                 return None;
             }
             self.advance();
@@ -317,13 +319,13 @@ impl EventQueue {
         if bucket_s1 == Some(target) {
             let idx = (target as usize) & (N - 1);
             self.l1_bits[idx / 64] &= !(1 << (idx % 64));
-            let mut events = std::mem::take(&mut self.l1[idx]);
-            for event in events.drain(..) {
+            // Consume the bucket so its allocation is freed, not parked
+            // in the emptied slot.
+            for event in std::mem::take(&mut self.l1[idx]) {
                 let i = ((event.time.0 >> B0) as usize) & (N - 1);
                 self.l0[i].push(event);
                 self.l0_bits[i / 64] |= 1 << (i % 64);
             }
-            self.l1[idx] = events;
         }
         while let Some(e) = self.overflow.peek() {
             if e.time.0 >> B1 != target {
@@ -339,12 +341,14 @@ impl EventQueue {
     }
 
     /// Drain L0 bucket `idx` (absolute slot `base0 + idx`) into the heap.
+    /// The heap is empty here, so the bucket's `Vec` becomes the heap in
+    /// place and the heap's previous allocation is freed: the slot keeps
+    /// no capacity once its events have left it.
     fn drain_l0(&mut self, base0: u64, idx: usize) {
+        debug_assert!(self.active.is_empty());
         self.cur0 = base0 + idx as u64;
         self.l0_bits[idx / 64] &= !(1 << (idx % 64));
-        let mut events = std::mem::take(&mut self.l0[idx]);
-        self.active.extend(events.drain(..));
-        self.l0[idx] = events;
+        self.active = BinaryHeap::from(std::mem::take(&mut self.l0[idx]));
     }
 
     /// Time of the earliest event without removing it.
@@ -396,6 +400,13 @@ impl EventQueue {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Event slots reserved across every level of the calendar.
+    #[cfg(test)]
+    fn reserved(&self) -> usize {
+        let buckets: usize = self.l0.iter().chain(&self.l1).map(Vec::capacity).sum();
+        self.active.capacity() + self.overflow.capacity() + buckets
     }
 }
 
@@ -550,6 +561,36 @@ mod tests {
         assert_eq!(pop_tag(&mut q), (day, 3));
         assert_eq!(q.len(), 0);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn drained_buckets_release_their_allocation() {
+        // A burst into one L0 slot and one L1 slot must not leave either
+        // bucket (or the active heap) holding its capacity once drained:
+        // what the queue reserves follows what it holds, not its history.
+        const BURST: u64 = 100_000;
+        let mut q = EventQueue::new();
+        for tag in 0..BURST {
+            timer_at(&mut q, 500_000, tag); // later L0 slot
+            timer_at(&mut q, 600_000_000, BURST + tag); // L1 slot
+        }
+        for tag in 0..10 {
+            timer_at(&mut q, 900_000_000, 2 * BURST + tag); // a later slot
+        }
+        assert!(q.reserved() >= 2 * BURST as usize);
+        // Both bursts plus the first event of the later slot.
+        for _ in 0..=2 * BURST {
+            let _ = q.pop();
+        }
+        assert_eq!(q.len(), 9);
+        assert!(
+            q.reserved() <= q.len() + 64,
+            "{} slots reserved for {} pending events",
+            q.reserved(),
+            q.len()
+        );
+        while q.pop().is_some() {}
+        assert_eq!(q.reserved(), 0);
     }
 
     #[test]

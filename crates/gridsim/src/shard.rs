@@ -14,15 +14,17 @@
 //! stamps the delivery with the sampled source→dest WAN link latency and
 //! files it straight into the destination shard's queue. Because every
 //! inter-node link carries at least the network model's minimum latency
-//! ([`crate::network::Network::lookahead`]), a shard whose next local event
-//! lies at or before
+//! ([`crate::network::Network::lookahead`]), and a shard sends only while
+//! executing one of its own events, a shard whose next local event lies at
+//! or before
 //!
 //! ```text
-//! safe(S) = min over other shards S' of  clock(S') + lookahead
+//! safe(S) = min over other shards S' with a pending event of  next(S') + lookahead
 //! ```
 //!
 //! can execute it without ever receiving an earlier cross-shard message —
-//! the classic conservative null-message bound ([`safe_horizon`]). The
+//! the Chandy–Misra lower bound on incoming timestamps ([`safe_horizon`]).
+//! A peer with an empty queue can send nothing, so it imposes no bound. The
 //! coordinator *commits* events in the global `(time, seq)` order (seq is
 //! allocated from one world-wide counter), which keeps traces, RNG draws
 //! and digests byte-identical for every shard count; the horizon is used to
@@ -80,19 +82,18 @@ impl Shard {
 }
 
 /// The conservative safe horizon for shard `s`: the earliest instant at
-/// which a not-yet-sent cross-shard message could still arrive, i.e. the
-/// minimum over every other shard of its clock plus the WAN lookahead. An
-/// event at or before this bound can run without waiting for null messages.
-/// With a single shard there is no inbound link, so the horizon is
-/// unbounded.
-pub fn safe_horizon(clocks: &[SimTime], s: usize, lookahead: Duration) -> SimTime {
-    let mut safe = SimTime::MAX;
-    for (i, &c) in clocks.iter().enumerate() {
-        if i != s {
-            safe = safe.min(c + lookahead);
-        }
-    }
-    safe
+/// which a cross-shard message could still arrive, i.e. the minimum over
+/// every other shard of its next pending event time plus the WAN lookahead
+/// (`next[i]` is `None` for an empty queue, which bounds nothing). An event
+/// at or before this bound can run without waiting for null messages. With
+/// a single shard there is no inbound link, so the horizon is unbounded.
+pub fn safe_horizon(next: &[Option<SimTime>], s: usize, lookahead: Duration) -> SimTime {
+    next.iter()
+        .enumerate()
+        .filter(|&(i, _)| i != s)
+        .filter_map(|(_, t)| t.map(|t| t + lookahead))
+        .min()
+        .unwrap_or(SimTime::MAX)
 }
 
 #[cfg(test)]
@@ -100,20 +101,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn safe_horizon_is_min_peer_clock_plus_lookahead() {
-        let clocks = [SimTime(100), SimTime(50), SimTime(200)];
+    fn earliest_shard_is_always_runnable() {
+        // Whatever the peers hold, the shard with the globally earliest
+        // pending event has nothing earlier left to receive.
         let l = Duration::from_micros(20);
-        assert_eq!(safe_horizon(&clocks, 0, l), SimTime(70));
-        assert_eq!(safe_horizon(&clocks, 1, l), SimTime(120));
-        assert_eq!(safe_horizon(&clocks, 2, l), SimTime(70));
+        let cases: [&[Option<SimTime>]; 4] = [
+            &[Some(SimTime(100)), Some(SimTime(50)), Some(SimTime(200))],
+            &[Some(SimTime(7)), Some(SimTime(7))],
+            &[None, Some(SimTime(1_000_000)), None],
+            &[Some(SimTime(0)), Some(SimTime(5)), Some(SimTime(10))],
+        ];
+        for next in cases {
+            let (s, t) = next
+                .iter()
+                .enumerate()
+                .filter_map(|(s, t)| t.map(|t| (s, t)))
+                .min_by_key(|&(_, t)| t)
+                .unwrap();
+            assert!(t <= safe_horizon(next, s, l), "{next:?}");
+        }
+    }
+
+    #[test]
+    fn horizon_is_min_pending_peer_plus_lookahead() {
+        let next = [Some(SimTime(100)), None, Some(SimTime(200))];
+        let l = Duration::from_micros(20);
+        assert_eq!(safe_horizon(&next, 0, l), SimTime(220));
+        assert_eq!(safe_horizon(&next, 1, l), SimTime(120));
+        assert_eq!(safe_horizon(&next, 2, l), SimTime(120));
     }
 
     #[test]
     fn single_shard_horizon_is_unbounded() {
-        let clocks = [SimTime(5)];
-        assert_eq!(
-            safe_horizon(&clocks, 0, Duration::from_secs(1)),
-            SimTime::MAX
-        );
+        let next = [Some(SimTime(5))];
+        assert_eq!(safe_horizon(&next, 0, Duration::from_secs(1)), SimTime::MAX);
     }
 }

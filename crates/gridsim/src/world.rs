@@ -632,19 +632,17 @@ impl World {
 
     /// How many shards could execute their next event *concurrently* under
     /// the conservative lookahead protocol: shards whose head lies at or
-    /// before their safe horizon (minimum over peer shards of peer clock +
-    /// WAN lookahead). A measure of the parallelism the current partition
-    /// exposes; always 1 for a busy single-shard world.
+    /// before their safe horizon (minimum over peer shards with a pending
+    /// event of that event's time + WAN lookahead). A measure of the
+    /// parallelism the current partition exposes; at least 1 whenever an
+    /// event is pending, since the globally earliest head is always safe.
     pub fn runnable_shards(&mut self) -> usize {
         let lookahead = self.network.lookahead();
         self.refresh_heads();
-        let clocks: Vec<SimTime> = self.shards.iter().map(|s| s.clock).collect();
-        self.heads
-            .iter()
+        let next: Vec<Option<SimTime>> = self.heads.iter().map(|h| h.map(|(t, _)| t)).collect();
+        next.iter()
             .enumerate()
-            .filter(|(s, head)| {
-                head.is_some_and(|(t, _)| t <= safe_horizon(&clocks, *s, lookahead))
-            })
+            .filter(|&(s, head)| head.is_some_and(|t| t <= safe_horizon(&next, s, lookahead)))
             .count()
     }
 
@@ -1550,6 +1548,40 @@ mod tests {
         assert_eq!(w.store().get::<u64>(n, "fired_count"), Some(1));
         // No retired-name residue from transient kills.
         assert!(w.lookup(n, "w0").is_none());
+    }
+
+    #[test]
+    fn some_shard_is_runnable_whenever_an_event_is_pending() {
+        // Ping-pong across two shards: at every step the shard holding the
+        // globally earliest event must count as runnable, however far the
+        // other shard's clock lags behind it.
+        let mut w = World::new(Config::default().seed(1).shards(2));
+        let na = w.add_node("a");
+        let nb = w.add_node_on("b", ShardId(1));
+        let echo = Echo {
+            received: 0,
+            echoes: 20,
+            record_key: None,
+        };
+        let b = w.add_component(nb, "echo", echo);
+        struct Kicker(Addr);
+        impl Component for Kicker {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.send(self.0, Hit(0));
+            }
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Addr, msg: AnyMsg) {
+                let Hit(n) = *msg.downcast::<Hit>().unwrap();
+                ctx.send(from, Hit(n + 1));
+            }
+        }
+        w.add_component(na, "kick", Kicker(b));
+        let mut steps = 0;
+        while w.queue_len() > 0 {
+            assert!(w.runnable_shards() >= 1, "nothing runnable at step {steps}");
+            assert!(w.step());
+            steps += 1;
+        }
+        assert!(steps > 20);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::proto::{LrmEvent, LrmReply, LrmRequest, SiteInfo};
 use gridsim::prelude::*;
 use gridsim::rng::Dist;
 use gridsim::AnyMsg;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Opportunistic capacity churn: models desktop owners reclaiming their
 /// machines in a Condor pool (or maintenance windows on a cluster).
@@ -69,6 +69,8 @@ pub struct Lrm {
     requeue_on_vacate: bool,
     churn: Option<ChurnModel>,
     queue: Vec<Queued>,
+    /// Local ids in `queue`, so a `Status` poll needs no queue scan.
+    queued: HashSet<u64>,
     running: HashMap<u64, Running>,
     /// Processors held by `running`, maintained incrementally so busy
     /// accounting stays O(1) with ten thousand concurrent jobs.
@@ -117,6 +119,7 @@ impl Lrm {
             requeue_on_vacate: true,
             churn: None,
             queue: Vec::new(),
+            queued: HashSet::new(),
             running: HashMap::new(),
             used: 0,
             terminal: HashMap::new(),
@@ -300,6 +303,7 @@ impl Lrm {
                 };
                 budget -= job.spec.cpus;
                 started_any = true;
+                self.queued.remove(&job.local_id);
                 self.start_job(ctx, job);
             }
             self.queue = slots.into_iter().flatten().collect();
@@ -444,6 +448,7 @@ impl Lrm {
                         at: now,
                     },
                 );
+                self.queued.insert(victim);
                 self.queue.insert(
                     0,
                     Queued {
@@ -535,6 +540,7 @@ impl Component for Lrm {
                         self.site, spec.cpus, spec.owner
                     )
                 });
+                self.queued.insert(local_id);
                 self.queue.push(Queued {
                     local_id,
                     spec,
@@ -554,6 +560,7 @@ impl Component for Lrm {
             LrmRequest::Cancel { local_id } => {
                 let now = ctx.now();
                 if let Some(pos) = self.queue.iter().position(|j| j.local_id == local_id) {
+                    self.queued.remove(&local_id);
                     let job = self.queue.remove(pos);
                     self.note_terminal(local_id, LrmJobState::Removed);
                     ctx.send(
@@ -585,7 +592,7 @@ impl Component for Lrm {
             LrmRequest::Status { local_id } => {
                 let state = if self.running.contains_key(&local_id) {
                     Some(LrmJobState::Running)
-                } else if self.queue.iter().any(|j| j.local_id == local_id) {
+                } else if self.queued.contains(&local_id) {
                     Some(LrmJobState::Queued)
                 } else {
                     self.get_terminal(local_id)

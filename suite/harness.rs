@@ -22,7 +22,7 @@ use mds::{addr_to_attr, Giis, Gris};
 use site::lrm::ChurnModel;
 use site::policy::{EasyBackfill, FairShare, Fifo, SchedPolicy};
 use site::Lrm;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Which batch system a site runs (paper: "PBS, Condor, LSF, LoadLeveler,
 /// NQE, etc.").
@@ -595,7 +595,7 @@ impl Testbed {
 
 /// A scripted user console: submits specs, records every event, answers
 /// nothing. Results land in stable storage on its node:
-/// `console/status/<n>` per job and `console/terminal_count`.
+/// `console/status/<n>` per submission `n` and `console/terminal_count`.
 pub struct UserConsole {
     scheduler: Addr,
     /// `(delay, spec)` submissions.
@@ -605,6 +605,8 @@ pub struct UserConsole {
     /// Cancel the nth submission at this time.
     pub cancel_at: Option<(Duration, u64)>,
     ids: BTreeMap<u64, GridJobId>,
+    /// Job → submission, so each status resolves without a scan.
+    submission_of: HashMap<GridJobId, u64>,
     history: BTreeMap<u64, Vec<String>>,
     terminal: u64,
 }
@@ -622,6 +624,7 @@ impl UserConsole {
             refresh_at: None,
             cancel_at: None,
             ids: BTreeMap::new(),
+            submission_of: HashMap::new(),
             history: BTreeMap::new(),
             terminal: 0,
         }
@@ -641,24 +644,21 @@ impl UserConsole {
         self
     }
 
-    fn persist(&self, ctx: &mut Ctx<'_>) {
+    /// Write submission `n`'s history (the only one that changed) and the
+    /// terminal count.
+    fn persist(&self, ctx: &mut Ctx<'_>, n: u64) {
         let node = ctx.node();
-        let flat: Vec<(u64, Vec<String>)> =
-            self.history.iter().map(|(k, v)| (*k, v.clone())).collect();
-        ctx.store().put(node, "console/history", &flat);
+        ctx.store()
+            .put(node, &format!("console/status/{n}"), &self.history[&n]);
         let term = self.terminal;
         ctx.store().put(node, "console/terminal_count", &term);
     }
 
     /// Read the recorded history for submission `n` from the store.
     pub fn history_of(world: &World, node: NodeId, n: u64) -> Vec<String> {
-        let flat: Vec<(u64, Vec<String>)> = world
+        world
             .store()
-            .get(node, "console/history")
-            .unwrap_or_default();
-        flat.into_iter()
-            .find(|(k, _)| *k == n)
-            .map(|(_, v)| v)
+            .get(node, &format!("console/status/{n}"))
             .unwrap_or_default()
     }
 
@@ -709,14 +709,15 @@ impl Component for UserConsole {
         match event {
             UserEvent::Submitted { id, job } => {
                 self.ids.insert(*id, *job);
+                self.submission_of.insert(*job, *id);
                 self.history
                     .entry(*id)
                     .or_default()
                     .push("Submitted".into());
-                self.persist(ctx);
+                self.persist(ctx, *id);
             }
             UserEvent::Status { job, status, .. } => {
-                let Some((&id, _)) = self.ids.iter().find(|(_, j)| **j == *job) else {
+                let Some(&id) = self.submission_of.get(job) else {
                     return;
                 };
                 let entry = self.history.entry(id).or_default();
@@ -734,7 +735,7 @@ impl Component for UserConsole {
                     self.terminal += 1;
                 }
                 self.history.entry(id).or_default().push(text);
-                self.persist(ctx);
+                self.persist(ctx, id);
             }
             UserEvent::Log { .. } => {}
         }
